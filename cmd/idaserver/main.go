@@ -67,22 +67,17 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "how long in-flight runs get to finish on shutdown")
 		storeDir     = flag.String("store-dir", "", "persist snapshots, result payloads, and the batch-job journal under this directory")
 		storeSync    = flag.Bool("store-sync", false, "fsync every store blob write so the cache survives power loss (the job journal always syncs)")
-		snapDir      = flag.String("snapshot-dir", "", "deprecated alias for -store-dir")
 		pprofListen  = flag.String("pprof-listen", "", "serve net/http/pprof debug endpoints on this address (e.g. localhost:6060); empty disables them")
 	)
 	flag.Parse()
-	dir, warn := idaflash.ResolveStoreDir(*storeDir, *snapDir)
-	if warn != "" {
-		fmt.Fprintln(os.Stderr, "idaserver:", warn)
-	}
 	logger := log.New(os.Stderr, "idaserver: ", log.LstdFlags)
 	var journal *farm.Journal
-	if dir != "" {
-		if err := idaflash.SetStoreDirSync(dir, *storeSync); err != nil {
+	if *storeDir != "" {
+		if err := idaflash.SetStoreDirSync(*storeDir, *storeSync); err != nil {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)
 			os.Exit(1)
 		}
-		j, err := farm.OpenJournal(filepath.Join(dir, "jobs"))
+		j, err := farm.OpenJournal(filepath.Join(*storeDir, "jobs"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)
 			os.Exit(1)

@@ -566,28 +566,6 @@ func StoreDisk() *results.Disk {
 	return storeDisk
 }
 
-// SetSnapshotDir names the store root by its original, snapshot-only role.
-//
-// Deprecated: use SetStoreDir — the directory now also serves result
-// payloads under the shared eviction budget.
-func SetSnapshotDir(dir string) error { return SetStoreDir(dir) }
-
-// ResolveStoreDir arbitrates between the -store-dir flag and its deprecated
-// -snapshot-dir alias for the command-line tools: -store-dir always wins,
-// and exactly one warning is returned whenever the alias was set — naming
-// the precedence when both flags were given, or just the deprecation when
-// only the alias was. An empty warning means the alias was not used.
-func ResolveStoreDir(storeDir, snapshotDir string) (dir, warning string) {
-	switch {
-	case snapshotDir == "":
-		return storeDir, ""
-	case storeDir == "":
-		return snapshotDir, "-snapshot-dir is deprecated; use -store-dir"
-	default:
-		return storeDir, "-snapshot-dir is deprecated and ignored because -store-dir is set"
-	}
-}
-
 // snapshotKeyData is everything the aged pre-measurement device state is a
 // function of. Deliberately absent: the coding scheme, IDA knobs, error
 // rate, scheduler, timing, ECC, and telemetry — none of them influence the

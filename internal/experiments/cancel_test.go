@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"idaflash"
+	"idaflash/internal/memo"
 	"idaflash/internal/workload"
 )
 
@@ -70,8 +71,8 @@ func TestWaiterCancelDoesNotDisturbExecutor(t *testing.T) {
 			<-block
 			return idaflash.Results{Trace: p.Name}, nil
 		},
-		cache: make(map[string]*runEntry),
-		sem:   make(chan struct{}, 2),
+		memo: memo.New[string, idaflash.Results](0),
+		sem:  make(chan struct{}, 2),
 	}
 	p := workload.Profile{Name: "w", Requests: 10}
 	sys := idaflash.System{Name: "S"}
@@ -82,13 +83,7 @@ func TestWaiterCancelDoesNotDisturbExecutor(t *testing.T) {
 		execDone <- err
 	}()
 	// Wait until the executor has installed its entry.
-	for {
-		r.mu.Lock()
-		n := len(r.cache)
-		r.mu.Unlock()
-		if n == 1 {
-			break
-		}
+	for r.memo.Len() != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	wctx, wcancel := context.WithCancel(context.Background())

@@ -22,14 +22,18 @@ import (
 	"time"
 
 	"idaflash"
+	"idaflash/internal/memo"
 	"idaflash/internal/workload"
 )
+
+// DefaultRequests is the per-trace request budget when none is given: it
+// reproduces the paper's shapes in minutes on a laptop.
+const DefaultRequests = 40000
 
 // Options tunes the experiment harness.
 type Options struct {
 	// Requests is the per-trace request budget. Larger is smoother but
-	// slower; the default (40000) reproduces the paper's shapes in
-	// minutes on a laptop.
+	// slower; zero uses DefaultRequests.
 	Requests int
 	// Parallel caps concurrent simulations; defaults to GOMAXPROCS.
 	Parallel int
@@ -39,7 +43,7 @@ type Options struct {
 
 func (o Options) withDefaults() Options {
 	if o.Requests == 0 {
-		o.Requests = 40000
+		o.Requests = DefaultRequests
 	}
 	if o.Parallel <= 0 {
 		o.Parallel = runtime.GOMAXPROCS(0)
@@ -47,43 +51,28 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Runner memoizes simulation runs across experiments.
+// Runner memoizes simulation runs across experiments in an unbounded
+// memo.Group: concurrent misses on one key run the simulation once, and a
+// failed or cancelled run is never cached, so a cancelled sweep can never
+// leave a partial result behind for an identical rerun to recall.
 type Runner struct {
 	opts Options
 	// run executes one simulation; idaflash.RunWorkloadContext in
 	// production, replaced by tests counting actual invocations.
 	run func(context.Context, workload.Profile, idaflash.System) (idaflash.Results, error)
 
-	mu    sync.Mutex
-	cache map[string]*runEntry
-	sem   chan struct{}
-}
-
-// runEntry is one key's simulation, completed or in flight. The entry is
-// installed before the simulation starts and done is closed when it
-// finishes, giving Run singleflight semantics: concurrent misses on the
-// same key wait for the first goroutine's result instead of re-simulating.
-//
-// purged marks an entry whose execution was cancelled: its result reflects
-// the executing caller's context, not the key, so the entry is removed from
-// the cache before done closes and waiters retry against a fresh entry.
-// This is what keeps the memo cancellation-safe — a cancelled sweep can
-// never leave a partial result behind for an identical rerun to recall.
-type runEntry struct {
-	done   chan struct{}
-	res    idaflash.Results
-	err    error
-	purged bool
+	memo *memo.Group[string, idaflash.Results]
+	sem  chan struct{}
 }
 
 // NewRunner builds a runner.
 func NewRunner(opts Options) *Runner {
 	opts = opts.withDefaults()
 	return &Runner{
-		opts:  opts,
-		run:   idaflash.RunWorkloadContext,
-		cache: make(map[string]*runEntry),
-		sem:   make(chan struct{}, opts.Parallel),
+		opts: opts,
+		run:  idaflash.RunWorkloadContext,
+		memo: memo.New[string, idaflash.Results](0),
+		sem:  make(chan struct{}, opts.Parallel),
 	}
 }
 
@@ -110,46 +99,20 @@ func (r *Runner) Run(p workload.Profile, sys idaflash.System) (idaflash.Results,
 	return r.RunContext(context.Background(), p, sys)
 }
 
-// RunContext is Run with cooperative cancellation. The singleflight memo
-// stays consistent under cancellation: a run stopped by its caller's
-// context is purged from the cache before its waiters wake, so they (and
-// any later identical request) re-execute instead of inheriting a partial
-// result, and a waiter whose own context ends stops waiting without
-// disturbing the executing run.
+// RunContext is Run with cooperative cancellation. A run stopped by its
+// caller's context is not cached, so its waiters (and any later identical
+// request) re-execute instead of inheriting a partial result, and a waiter
+// whose own context ends stops waiting without disturbing the executing run.
 func (r *Runner) RunContext(ctx context.Context, p workload.Profile, sys idaflash.System) (idaflash.Results, error) {
 	k, kerr := key(p, sys)
 	if kerr != nil {
 		// Uncacheable is not unrunnable: execute without memoizing.
 		return r.execute(ctx, p, sys)
 	}
-	for {
-		r.mu.Lock()
-		if e, ok := r.cache[k]; ok {
-			r.mu.Unlock()
-			select {
-			case <-e.done:
-				if e.purged {
-					continue // the executor was cancelled; retry fresh
-				}
-				return e.res, e.err
-			case <-ctx.Done():
-				return idaflash.Results{}, ctx.Err()
-			}
-		}
-		e := &runEntry{done: make(chan struct{})}
-		r.cache[k] = e
-		r.mu.Unlock()
-
-		e.res, e.err = r.execute(ctx, p, sys)
-		if e.err != nil && (errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded)) {
-			r.mu.Lock()
-			delete(r.cache, k)
-			r.mu.Unlock()
-			e.purged = true // published to waiters by close(e.done)
-		}
-		close(e.done)
-		return e.res, e.err
-	}
+	res, _, err := r.memo.Do(ctx, k, func() (idaflash.Results, error) {
+		return r.execute(ctx, p, sys)
+	})
+	return res, err
 }
 
 // execute runs one simulation under the concurrency cap, skipping the queue

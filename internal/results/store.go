@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"sync"
 	"sync/atomic"
+
+	"idaflash/internal/memo"
 )
 
 // defaultMemEntries bounds the in-memory tier: result payloads are a few KB
@@ -12,26 +14,24 @@ import (
 // resident for about a megabyte.
 const defaultMemEntries = 512
 
-// Store memoizes simulation result payloads by their canonical memo key. It
-// has the same two-tier, singleflighted shape as the snapshot store: a
-// bounded in-memory map with LRU eviction, always on, and an optional
+// Store memoizes simulation result payloads by their canonical memo key: a
+// bounded in-memory LRU tier (a memo.Group), always on, and an optional
 // content-addressed disk tier (SetBlobs) whose files survive the process.
 //
-// GetOrCompute is the only read path: concurrent callers of one missing key
-// run the compute exactly once and share its bytes, a cancelled or failed
-// compute is never cached (waiters retry afresh), and every disk failure
-// mode degrades to a miss. The payload is opaque bytes — the canonical JSON
-// of a Results value — so a cached point is served byte-identical to its
-// cold run, across restarts and across clients.
+// GetOrCompute is the only read path. The payload is opaque bytes — the
+// canonical JSON of a Results value — so a cached point is served
+// byte-identical to its cold run, across restarts and across clients, and
+// every disk failure mode degrades to a miss.
 type Store struct {
-	mu      sync.Mutex
-	entries map[string]*resEntry
-	order   []string // LRU, front = oldest; only published keys
-	limit   int
-	blobs   blobTier
-	disk    *Disk // health plumbing; nil when blobs is absent or synthetic
+	mem *memo.Group[string, []byte]
 
-	hits, misses atomic.Uint64
+	mu    sync.Mutex
+	blobs blobTier
+	disk  *Disk // health plumbing; nil when blobs is absent or synthetic
+
+	// diskHits counts claims the blob tier served: the memory tier counts
+	// them as misses, the store as hits.
+	diskHits atomic.Uint64
 }
 
 // blobTier is the persistent layer (satisfied by *Blobs). Declared as an
@@ -42,28 +42,13 @@ type blobTier interface {
 	Delete(key string)
 }
 
-// resEntry is one key's payload, published or in flight. ready closes
-// exactly once; b is immutable afterwards (nil = abandoned claim).
-type resEntry struct {
-	ready chan struct{}
-	once  sync.Once
-	b     []byte
-}
-
-func (e *resEntry) publish(b []byte) {
-	e.once.Do(func() {
-		e.b = b
-		close(e.ready)
-	})
-}
-
 // NewStore builds a store holding at most limit payloads in memory (<= 0
 // uses the default of 512).
 func NewStore(limit int) *Store {
 	if limit <= 0 {
 		limit = defaultMemEntries
 	}
-	return &Store{entries: make(map[string]*resEntry), limit: limit}
+	return &Store{mem: memo.New[string, []byte](limit)}
 }
 
 // SetBlobs attaches (or, with nil, detaches) the persistent tier.
@@ -104,113 +89,48 @@ type Stats struct {
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	n := len(s.entries)
-	s.mu.Unlock()
-	return Stats{Hits: s.hits.Load(), Misses: s.misses.Load(), Entries: n, Disk: s.Health()}
+	// Read diskHits first: each disk hit is a memory miss counted before it,
+	// so the subtraction cannot go negative.
+	disk := s.diskHits.Load()
+	mem := s.mem.Stats()
+	return Stats{Hits: mem.Hits + disk, Misses: mem.Misses - disk, Entries: s.mem.Len(), Disk: s.Health()}
 }
 
 // GetOrCompute resolves key: from memory, from disk, or by running compute
 // exactly once across all concurrent callers. cached reports whether this
 // caller was served without executing compute (a memory/disk hit, or a wait
-// on another caller's compute). A compute error or cancellation abandons
-// the claim — errors are never cached — and wakes one waiter to retry.
+// on another caller's compute). A compute error or cancellation is never
+// cached: waiters retry afresh.
 func (s *Store) GetOrCompute(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (b []byte, cached bool, err error) {
-	for {
-		s.mu.Lock()
-		if e, ok := s.entries[key]; ok {
-			s.touchLocked(key)
-			s.mu.Unlock()
-			select {
-			case <-e.ready:
-				if e.b == nil {
-					continue // abandoned compute: claim or wait afresh
-				}
-				s.hits.Add(1)
-				return e.b, true, nil
-			case <-ctx.Done():
-				return nil, false, ctx.Err()
-			}
-		}
-		e := &resEntry{ready: make(chan struct{})}
-		s.entries[key] = e
-		blobs := s.blobs
-		s.mu.Unlock()
-
+	s.mu.Lock()
+	blobs := s.blobs
+	s.mu.Unlock()
+	fromDisk := false
+	b, shared, err := s.mem.Do(ctx, key, func() ([]byte, error) {
 		if blobs != nil {
 			if payload := blobs.Get(key); payload != nil {
 				// Result payloads are canonical JSON and the blob files carry
 				// no checksum, so a torn write shows up here as an invalid
 				// document. Drop it and recompute rather than serve garbage.
 				if json.Valid(payload) {
-					s.publishLocked(key, e, payload)
-					s.hits.Add(1)
-					return payload, true, nil
+					fromDisk = true
+					s.diskHits.Add(1)
+					return payload, nil
 				}
 				blobs.Delete(key)
 			}
 		}
-		s.misses.Add(1)
-		payload, err := func() ([]byte, error) {
-			// A panic unwinding out of compute must abandon the claim, or
-			// every later caller of this key would wait on it forever.
-			defer func() {
-				if v := recover(); v != nil {
-					s.abandon(key, e)
-					panic(v)
-				}
-			}()
-			return compute(ctx)
-		}()
-		if err != nil || payload == nil {
-			s.abandon(key, e)
-			if err == nil {
-				err = context.Canceled
-			}
-			return nil, false, err
+		payload, err := compute(ctx)
+		if err == nil && payload == nil {
+			err = context.Canceled
 		}
-		s.publishLocked(key, e, payload)
-		if blobs != nil {
-			blobs.Put(key, payload)
-		}
-		return payload, false, nil
+		return payload, err
+	})
+	if err != nil {
+		return nil, false, err
 	}
-}
-
-// publishLocked publishes a payload and applies the memory bound.
-func (s *Store) publishLocked(key string, e *resEntry, b []byte) {
-	e.publish(b)
-	s.mu.Lock()
-	if s.entries[key] == e {
-		s.order = append(s.order, key)
-		for len(s.order) > s.limit {
-			// Evict the least-recently-touched published key. Waiters on
-			// an evicted entry still hold its pointer and resolve.
-			delete(s.entries, s.order[0])
-			s.order = s.order[1:]
-		}
+	if !shared && !fromDisk && blobs != nil {
+		blobs.Put(key, b)
 	}
-	s.mu.Unlock()
-}
-
-// abandon drops a failed claim so the next caller recomputes, then wakes
-// the waiters to do exactly that.
-func (s *Store) abandon(key string, e *resEntry) {
-	s.mu.Lock()
-	if s.entries[key] == e {
-		delete(s.entries, key)
-	}
-	s.mu.Unlock()
-	e.publish(nil)
-}
-
-// touchLocked moves key to the back of the LRU order. Called with s.mu held.
-func (s *Store) touchLocked(key string) {
-	for i, k := range s.order {
-		if k == key {
-			copy(s.order[i:], s.order[i+1:])
-			s.order[len(s.order)-1] = key
-			return
-		}
-	}
+	return b, shared || fromDisk, nil
 }

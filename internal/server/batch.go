@@ -98,7 +98,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) batchPoints(req BatchRequest) ([]experiments.Point, error) {
 	budget := req.Requests
 	if budget == 0 {
-		budget = s.runner.Options().Requests
+		budget = s.cfg.Requests
 	}
 	if budget < 0 {
 		return nil, fmt.Errorf("requests %d must be non-negative", req.Requests)

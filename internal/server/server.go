@@ -1,4 +1,4 @@
-// Package server exposes the experiment runner as a hardened HTTP JSON
+// Package server exposes the simulator as a hardened HTTP JSON
 // service: a bounded worker pool with admission control that sheds load
 // (429 + Retry-After) when the queue cap is hit, per-request deadlines
 // merged with client disconnects, panic-recovery middleware over the
@@ -47,8 +47,8 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint returned with a 429; defaults to 1s.
 	RetryAfter time.Duration
-	// Requests is the default per-trace request budget (see
-	// experiments.Options.Requests); zero uses that package's default.
+	// Requests is the per-trace request budget of a run or batch that names
+	// none; zero uses experiments.DefaultRequests.
 	Requests int
 	// Log receives one line per completed request; nil discards.
 	Log *log.Logger
@@ -74,6 +74,9 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter <= 0 {
 		c.RetryAfter = time.Second
 	}
+	if c.Requests == 0 {
+		c.Requests = experiments.DefaultRequests
+	}
 	return c
 }
 
@@ -92,9 +95,8 @@ type Stats struct {
 // Server is the HTTP service state. Build with New, mount Handler on an
 // http.Server, and call BeginDrain/Drain on shutdown.
 type Server struct {
-	cfg    Config
-	runner *experiments.Runner
-	// run executes one simulation; the runner's memoized RunContext in
+	cfg Config
+	// run executes one simulation; idaflash.RunWorkloadContext in
 	// production, replaced by tests that need controllable latency.
 	run func(context.Context, idaflash.Profile, idaflash.System) (idaflash.Results, error)
 	// results memoizes canonical result payloads by the experiments memo
@@ -157,17 +159,12 @@ func counted(c *atomic.Uint64, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// New builds a server around a fresh experiments runner.
+// New builds a server with an empty in-memory result store.
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	runner := experiments.NewRunner(experiments.Options{
-		Requests: cfg.Requests,
-		Parallel: cfg.Workers,
-	})
 	s := &Server{
 		cfg:     cfg,
-		runner:  runner,
-		run:     runner.RunContext,
+		run:     idaflash.RunWorkloadContext,
 		tokens:  make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 		workers: make(chan struct{}, cfg.Workers),
 		drainCh: make(chan struct{}),
@@ -413,7 +410,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleProfiles(w http.ResponseWriter, _ *http.Request) {
-	budget := s.runner.Options().Requests
+	budget := s.cfg.Requests
 	var names []string
 	for _, p := range workload.PaperProfiles(budget) {
 		names = append(names, p.Name)
@@ -434,7 +431,7 @@ func (s *Server) parse(r *http.Request) (idaflash.Profile, idaflash.System, time
 	}
 	budget := req.Requests
 	if budget == 0 {
-		budget = s.runner.Options().Requests
+		budget = s.cfg.Requests
 	}
 	if budget < 0 {
 		return idaflash.Profile{}, idaflash.System{}, 0, fmt.Errorf("requests %d must be non-negative", budget)

@@ -20,17 +20,21 @@ type Time = time.Duration
 // inline in the event queue, so — unlike a fresh closure — it costs no
 // allocation per event. The simulation hot path (resource completions,
 // pooled page operations) schedules Actions; cold paths keep using func()
-// callbacks.
+// callbacks through Func.
 type Action interface {
 	Run()
 }
 
-// event is one scheduled callback: either a closure (fn) or a pre-allocated
-// Action (op). Exactly one of the two is set.
+// Func adapts a plain callback to an Action.
+type Func func()
+
+// Run calls f.
+func (f Func) Run() { f() }
+
+// event is one scheduled Action.
 type event struct {
 	at  Time
 	seq uint64 // insertion order, for deterministic FIFO tie-breaking
-	fn  func()
 	op  Action
 }
 
@@ -157,36 +161,36 @@ func (e *Engine) pop() event {
 }
 
 // schedule validates the timestamp and enqueues the event.
-func (e *Engine) schedule(t Time, fn func(), op Action) {
+func (e *Engine) schedule(t Time, op Action) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	e.seq++
-	e.push(event{at: t, seq: e.seq, fn: fn, op: op})
+	e.push(event{at: t, seq: e.seq, op: op})
 }
 
 // At schedules fn to run at absolute simulated time t. Scheduling in the
 // past is a programming error and panics: allowing it would silently
 // reorder causality.
 func (e *Engine) At(t Time, fn func()) {
-	e.schedule(t, fn, nil)
+	e.schedule(t, Func(fn))
 }
 
 // After schedules fn to run d after the current time. Negative d panics.
 func (e *Engine) After(d time.Duration, fn func()) {
-	e.schedule(e.now+d, fn, nil)
+	e.schedule(e.now+d, Func(fn))
 }
 
 // AtAction schedules a pre-allocated Action at absolute time t. It is the
 // allocation-free counterpart of At.
 func (e *Engine) AtAction(t Time, a Action) {
-	e.schedule(t, nil, a)
+	e.schedule(t, a)
 }
 
 // AfterAction schedules a pre-allocated Action d after the current time. It
 // is the allocation-free counterpart of After.
 func (e *Engine) AfterAction(d time.Duration, a Action) {
-	e.schedule(e.now+d, nil, a)
+	e.schedule(e.now+d, a)
 }
 
 // Step executes the single earliest pending event, advancing the clock to
@@ -198,11 +202,7 @@ func (e *Engine) Step() bool {
 	ev := e.pop()
 	e.now = ev.at
 	e.processed++
-	if ev.op != nil {
-		ev.op.Run()
-	} else {
-		ev.fn()
-	}
+	ev.op.Run()
 	return true
 }
 

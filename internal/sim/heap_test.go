@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refEvent / refHeap is a container/heap reference implementation of the
@@ -169,7 +170,7 @@ func TestHeapPopZeroesSlot(t *testing.T) {
 	grown := e.events[:cap(e.events)]
 	e.Run()
 	for i := range grown {
-		if grown[i].fn != nil || grown[i].op != nil {
+		if grown[i].op != nil {
 			t.Fatalf("slot %d retains a callback after drain: %+v", i, grown[i])
 		}
 	}
@@ -187,4 +188,12 @@ func TestHeapPastSchedulingPanics(t *testing.T) {
 		e.At(5*time.Microsecond, func() {})
 	})
 	e.Run()
+}
+
+// TestEventSize pins the queue slot at two words of ordering plus one
+// Action: a second callback field would grow every heap move.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 32 {
+		t.Fatalf("event is %d bytes, want 32", n)
+	}
 }

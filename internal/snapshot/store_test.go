@@ -2,6 +2,8 @@ package snapshot
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -9,6 +11,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"idaflash/internal/results"
 )
 
 func mustMiss(t *testing.T, s *Store, key string) func(*DeviceState) {
@@ -68,28 +72,42 @@ func TestStoreFIFOEviction(t *testing.T) {
 	mustHit(t, s, "c")
 }
 
+// diskBlobs opens the production blob tier — a results.Disk root's ".snap"
+// view, as idaflash.SetStoreDir wires it — over dir.
+func diskBlobs(t *testing.T, dir string) Blobs {
+	t.Helper()
+	d, err := results.OpenDisk(dir, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d.Sub(".snap")
+}
+
+// blobPath is where the disk tier keeps key's state: hex(sha256(key)).snap
+// at the root, the layout cached CI fixtures depend on.
+func blobPath(dir, key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(dir, hex.EncodeToString(sum[:])+".snap")
+}
+
 func TestStoreDiskRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	want := randState(rand.New(rand.NewSource(2)))
 
 	s1 := NewStore(0)
-	if err := s1.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s1.SetBlobs(diskBlobs(t, dir))
 	mustMiss(t, s1, "k")(want)
 
 	// A fresh store (fresh process) over the same directory hits via disk.
 	s2 := NewStore(0)
-	if err := s2.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s2.SetBlobs(diskBlobs(t, dir))
 	got := mustHit(t, s2, "k")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("disk round trip altered the state")
 	}
 	// And the state is now memory-resident: deleting the file does not
 	// un-cache it.
-	if err := os.Remove(s2.fileFor(dir, "k")); err != nil {
+	if err := os.Remove(blobPath(dir, "k")); err != nil {
 		t.Fatal(err)
 	}
 	mustHit(t, s2, "k")
@@ -98,13 +116,11 @@ func TestStoreDiskRoundTrip(t *testing.T) {
 func TestStoreCorruptDiskFileFailsSoft(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s.SetBlobs(diskBlobs(t, dir))
 	var logged int
 	s.Logf = func(string, ...any) { logged++ }
 
-	path := s.fileFor(dir, "k")
+	path := blobPath(dir, "k")
 	if err := os.WriteFile(path, []byte("IDASNAP\x00garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +140,9 @@ func TestStoreCorruptDiskFileFailsSoft(t *testing.T) {
 func TestStoreDropRemovesDiskFile(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	s.SetBlobs(diskBlobs(t, dir))
 	mustMiss(t, s, "k")(randState(rand.New(rand.NewSource(4))))
-	path := s.fileFor(dir, "k")
+	path := blobPath(dir, "k")
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("state not persisted: %v", err)
 	}
@@ -223,12 +237,8 @@ func TestStoreGetHonorsContext(t *testing.T) {
 func TestStoreDetachedDirIsMemoryOnly(t *testing.T) {
 	dir := t.TempDir()
 	s := NewStore(0)
-	if err := s.SetDir(dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.SetDir(""); err != nil {
-		t.Fatal(err)
-	}
+	s.SetBlobs(diskBlobs(t, dir))
+	s.SetBlobs(nil)
 	mustMiss(t, s, "k")(randState(rand.New(rand.NewSource(6))))
 	entries, err := filepath.Glob(filepath.Join(dir, "*.snap"))
 	if err != nil {

@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
+
+	"idaflash/internal/memo"
 )
 
 // TraceCache memoizes generated traces and aging preambles per normalized
@@ -14,25 +16,17 @@ import (
 // pointers: the simulator replays them through a cursor and never mutates
 // them, and callers must do the same.
 //
-// Generation is deduplicated: two goroutines asking for the same profile
-// concurrently generate it once (the second waits). The cache is safe for
-// concurrent use and bounds itself to a fixed number of profiles with FIFO
-// eviction, so long-lived processes sweeping many profiles do not pin every
-// trace forever.
+// The cache is a memo.Group: two goroutines asking for the same profile
+// concurrently generate it once, and it bounds itself to a fixed number of
+// profiles with LRU eviction, so long-lived processes sweeping many
+// profiles do not pin every trace forever.
 type TraceCache struct {
-	mu      sync.Mutex
-	entries map[string]*traceEntry
-	order   []string // insertion order, for bounded FIFO eviction
-	limit   int
+	mem *memo.Group[string, traces]
 }
 
-// traceEntry is one profile's memoized generation; once provides the
-// single-flight semantics.
-type traceEntry struct {
-	once     sync.Once
-	trace    *Trace
-	preamble *Trace
-	err      error
+// traces is one profile's memoized generation.
+type traces struct {
+	trace, preamble *Trace
 }
 
 // defaultTraceCacheLimit bounds the default cache: the paper's sweeps use
@@ -45,7 +39,7 @@ func NewTraceCache(limit int) *TraceCache {
 	if limit <= 0 {
 		limit = defaultTraceCacheLimit
 	}
-	return &TraceCache{entries: make(map[string]*traceEntry), limit: limit}
+	return &TraceCache{mem: memo.New[string, traces](limit)}
 }
 
 // DefaultTraceCache is the process-wide cache the idaflash run helpers use.
@@ -72,45 +66,26 @@ func (c *TraceCache) Traces(p Profile) (trace, preamble *Trace, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	k, err := profileKey(np)
-	if err != nil {
+	generate := func() (traces, error) {
+		tr, err := np.Generate()
+		if err != nil {
+			return traces{}, err
+		}
+		pre, err := np.AgingPreamble()
+		if err != nil {
+			return traces{}, err
+		}
+		return traces{tr, pre}, nil
+	}
+	var t traces
+	if k, kerr := profileKey(np); kerr != nil {
 		// Uncacheable is not unrunnable: generate without memoizing.
-		tr, gerr := np.Generate()
-		if gerr != nil {
-			return nil, nil, gerr
-		}
-		pre, gerr := np.AgingPreamble()
-		if gerr != nil {
-			return nil, nil, gerr
-		}
-		return tr, pre, nil
+		t, err = generate()
+	} else {
+		t, _, err = c.mem.Do(context.Background(), k, generate)
 	}
-	c.mu.Lock()
-	e := c.entries[k]
-	if e == nil {
-		e = &traceEntry{}
-		c.entries[k] = e
-		c.order = append(c.order, k)
-		for len(c.order) > c.limit {
-			// FIFO eviction; goroutines already holding the evicted
-			// entry still complete against their pointer.
-			delete(c.entries, c.order[0])
-			c.order = c.order[1:]
-		}
-	}
-	c.mu.Unlock()
-	e.once.Do(func() {
-		e.trace, e.err = np.Generate()
-		if e.err == nil {
-			e.preamble, e.err = np.AgingPreamble()
-		}
-	})
-	return e.trace, e.preamble, e.err
+	return t.trace, t.preamble, err
 }
 
 // Len returns the number of cached profiles (tests and diagnostics).
-func (c *TraceCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *TraceCache) Len() int { return c.mem.Len() }
