@@ -53,6 +53,7 @@ import (
 
 	"idaflash"
 	"idaflash/internal/farm"
+	"idaflash/internal/results"
 	"idaflash/internal/server"
 )
 
@@ -71,12 +72,18 @@ func main() {
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "idaserver: ", log.LstdFlags)
-	var journal *farm.Journal
+	var (
+		disk    *results.Disk
+		journal *farm.Journal
+	)
 	if *storeDir != "" {
-		if err := idaflash.SetStoreDirSync(*storeDir, *storeSync); err != nil {
+		d, err := results.OpenDiskOptions(*storeDir, results.DiskOptions{Sync: *storeSync})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)
 			os.Exit(1)
 		}
+		disk = d
+		idaflash.DefaultSnapshots.SetBlobs(d.Sub(idaflash.ExtSnapshot))
 		j, err := farm.OpenJournal(filepath.Join(*storeDir, "jobs"))
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "idaserver:", err)
@@ -104,18 +111,18 @@ func main() {
 		MaxTimeout:     *maxTimeout,
 		Log:            logger,
 		Journal:        journal,
-	}, *drainTimeout); err != nil {
+	}, disk, *drainTimeout); err != nil {
 		fmt.Fprintln(os.Stderr, "idaserver:", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen string, cfg server.Config, drainTimeout time.Duration) error {
+func run(listen string, cfg server.Config, disk *results.Disk, drainTimeout time.Duration) error {
 	srv := server.New(cfg)
-	if d := idaflash.StoreDisk(); d != nil {
+	if disk != nil {
 		// Result payloads share the snapshot store's disk root (and its
 		// eviction budget), so a repeated batch survives a restart.
-		srv.ResultStore().SetBlobs(d.Sub(idaflash.ExtResult))
+		srv.ResultStore().SetBlobs(disk.Sub(idaflash.ExtResult))
 	}
 	// Recover after the blob tier is attached, so a resumed job's
 	// already-computed points are store hits, not fresh simulations.

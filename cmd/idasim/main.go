@@ -41,6 +41,7 @@ import (
 
 	"idaflash"
 	"idaflash/internal/array"
+	"idaflash/internal/results"
 	"idaflash/internal/ssd"
 	"idaflash/internal/workload"
 )
@@ -132,10 +133,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "-store-dir and -no-snapshot are mutually exclusive")
 			os.Exit(1)
 		}
-		if err := idaflash.SetStoreDirSync(*storeDir, *storeSync); err != nil {
+		d, err := results.OpenDiskOptions(*storeDir, results.DiskOptions{Sync: *storeSync})
+		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
+		idaflash.DefaultSnapshots.SetBlobs(d.Sub(idaflash.ExtSnapshot))
 	}
 	if *faultsIn != "" {
 		sc, err := idaflash.LoadFaultScenario(*faultsIn)

@@ -32,7 +32,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"idaflash/internal/array"
@@ -41,7 +40,6 @@ import (
 	"idaflash/internal/faults"
 	"idaflash/internal/flash"
 	"idaflash/internal/ftl"
-	"idaflash/internal/results"
 	"idaflash/internal/runpool"
 	"idaflash/internal/sim"
 	"idaflash/internal/snapshot"
@@ -489,10 +487,10 @@ func BuildConfig(p Profile, sys System) (SSDConfig, Profile, error) {
 // (profile, device-shape) combination is captured once and restored in
 // O(state) by every later run sharing it, so a sweep pays for prefill, the
 // aging preamble, and warmup once per profile instead of once per system
-// variant. The in-memory tier is always on (bounded, FIFO-evicted); attach
-// a persistent on-disk tier with SetStoreDir. Restored runs are
-// byte-identical to replayed ones, and corrupt or version-skewed snapshots
-// fall back to replay silently.
+// variant. The in-memory tier is always on (bounded, LRU-evicted); attach
+// a persistent on-disk tier with SetBlobs. Restored runs are byte-identical
+// to replayed ones, and corrupt or version-skewed snapshots fall back to
+// replay silently.
 var DefaultSnapshots = snapshot.NewStore(0)
 
 // DefaultArena pools fully-built simulation devices between runs, keyed by
@@ -511,60 +509,15 @@ type PoolStats = runpool.Stats
 // service-mode observability (/statz) and tests.
 func ArenaStats() PoolStats { return DefaultArena.Stats() }
 
-// ExtSnapshot and ExtResult are the blob kinds the shared store root
-// serves: aged device states and canonical simulation result payloads,
-// content-addressed side by side under one eviction budget.
+// ExtSnapshot and ExtResult are the blob kinds a shared store root
+// (idasim/idaserver -store-dir, a results.Disk) serves: aged device states
+// and canonical simulation result payloads, content-addressed side by side
+// under one eviction budget. Attach a root's snapshot kind with
+// DefaultSnapshots.SetBlobs(disk.Sub(ExtSnapshot)).
 const (
 	ExtSnapshot = ".snap"
 	ExtResult   = ".json"
 )
-
-var (
-	storeMu   sync.Mutex
-	storeDisk *results.Disk
-)
-
-// SetStoreDir attaches the process-wide content-addressed store root
-// (idasim/idaserver -store-dir): one LRU-bounded directory holding both
-// aged device-state snapshots (wired into DefaultSnapshots) and — when the
-// HTTP service runs — simulation result payloads, under a single shared
-// eviction budget. Blobs are written atomically, survive the process, and
-// every corruption or version-skew failure mode degrades to a cache miss.
-// An empty dir detaches the root.
-func SetStoreDir(dir string) error { return SetStoreDirSync(dir, false) }
-
-// SetStoreDirSync is SetStoreDir with an explicit durability policy: with
-// sync, every blob write fsyncs the file and its directory, so committed
-// blobs survive power loss instead of just process death. The default stays
-// off — blobs are a cache, and a lost one is a miss — behind the
-// -store-sync flag on idasim and idaserver for deployments where the
-// store's warmth is worth a sync per write. (The farm's job journal always
-// syncs, regardless of this setting: jobs are promises, not caches.)
-func SetStoreDirSync(dir string, sync bool) error {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	if dir == "" {
-		storeDisk = nil
-		DefaultSnapshots.SetBlobs(nil)
-		return nil
-	}
-	d, err := results.OpenDiskOptions(dir, results.DiskOptions{Sync: sync})
-	if err != nil {
-		return err
-	}
-	storeDisk = d
-	DefaultSnapshots.SetBlobs(d.Sub(ExtSnapshot))
-	return nil
-}
-
-// StoreDisk returns the shared store root attached by SetStoreDir (nil when
-// detached), for callers — the HTTP server's result store — that layer
-// further blob kinds onto the same budget.
-func StoreDisk() *results.Disk {
-	storeMu.Lock()
-	defer storeMu.Unlock()
-	return storeDisk
-}
 
 // snapshotKeyData is everything the aged pre-measurement device state is a
 // function of. Deliberately absent: the coding scheme, IDA knobs, error

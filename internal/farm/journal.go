@@ -2,10 +2,8 @@ package farm
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc64"
 	"os"
 	"path/filepath"
 	"sort"
@@ -15,22 +13,17 @@ import (
 	"time"
 
 	"idaflash/internal/experiments"
+	"idaflash/internal/frame"
 	"idaflash/internal/results"
 )
 
 // The job journal is the farm's write-ahead log: one file per job under
 // <store-dir>/jobs, recording the job's spec, every point completion, and
-// the terminal state, in the order the event log emitted them. It follows
-// the same codec discipline as internal/snapshot — magic, version,
-// length-prefixed records, CRC64-ECMA — so a torn tail or a flipped bit is
-// detected, truncated away, and recovery resumes from the last good record
-// instead of panicking or trusting garbage.
-//
-// File layout:
-//
-//	header  = magic "IDAJRNL\x00" | version u32 LE
-//	record  = kind u8 | len u32 LE | payload | crc u64 LE
-//	crc     = CRC64-ECMA over kind byte + payload
+// the terminal state, in the order the event log emitted them. It is framed
+// by internal/frame — header magic "IDAJRNL\x00" and JournalVersion, then
+// length-prefixed records checksummed with CRC64-ECMA — so a torn tail or a
+// flipped bit is detected, truncated away, and recovery resumes from the
+// last good record instead of panicking or trusting garbage.
 //
 // Record kinds: spec (JSON JobSpec, always first), point (JSON PointResult,
 // one per completion, in event-log order), state (raw terminal state
@@ -56,8 +49,6 @@ const (
 // length bytes, not data (the biggest real payloads are point results, a
 // few KB of canonical JSON).
 const maxRecordLen = 64 << 20
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // JobSpec is the journal's replayable description of a submitted job.
 type JobSpec struct {
@@ -105,6 +96,10 @@ func (jn *Journal) path(id string) string {
 // is recoverable from that moment on.
 func (jn *Journal) Create(id string, spec JobSpec) (*JobLog, error) {
 	payload, err := json.Marshal(spec)
+	var head []byte
+	if err == nil {
+		head, err = frame.AppendRecord(frame.AppendHeader(nil, journalMagic, JournalVersion), recSpec, payload)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("farm: encoding job spec: %w", err)
 	}
@@ -112,13 +107,7 @@ func (jn *Journal) Create(id string, spec JobSpec) (*JobLog, error) {
 	if err != nil {
 		return nil, fmt.Errorf("farm: creating journal: %w", err)
 	}
-	var hdr [12]byte
-	copy(hdr[:8], journalMagic[:])
-	binary.LittleEndian.PutUint32(hdr[8:], JournalVersion)
-	_, err = f.Write(hdr[:])
-	if err == nil {
-		_, err = f.Write(encodeRecord(recSpec, payload))
-	}
+	_, err = f.Write(head)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -162,7 +151,10 @@ func (l *JobLog) append(kind byte, payload []byte) {
 	if l.broken || l.f == nil {
 		return
 	}
-	_, err := l.f.Write(encodeRecord(kind, payload))
+	b, err := frame.AppendRecord(nil, kind, payload)
+	if err == nil {
+		_, err = l.f.Write(b)
+	}
 	if err == nil {
 		err = l.f.Sync()
 	}
@@ -199,17 +191,6 @@ func (l *JobLog) Close() {
 	}
 }
 
-func encodeRecord(kind byte, payload []byte) []byte {
-	buf := make([]byte, 0, 1+4+len(payload)+8)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = append(buf, payload...)
-	h := crc64.New(crcTable)
-	_, _ = h.Write([]byte{kind})
-	_, _ = h.Write(payload)
-	return binary.LittleEndian.AppendUint64(buf, h.Sum64())
-}
-
 // journalContent is a parsed journal prefix: everything up to the first
 // malformed byte.
 type journalContent struct {
@@ -224,29 +205,16 @@ type journalContent struct {
 // one, keeping everything before it. It never panics on arbitrary bytes.
 func parseJournal(b []byte) journalContent {
 	var c journalContent
-	if len(b) < 12 || [8]byte(b[:8]) != journalMagic ||
-		binary.LittleEndian.Uint32(b[8:12]) != JournalVersion {
+	rest, err := frame.Header(b, journalMagic, JournalVersion)
+	if err != nil {
 		return c
 	}
-	off := int64(12)
-	c.valid = off
+	c.valid = frame.HeaderLen
 	seen := make(map[int]bool)
-	for {
-		rest := b[off:]
-		if len(rest) < 5 {
-			return c // torn or clean EOF
-		}
-		kind := rest[0]
-		n := int64(binary.LittleEndian.Uint32(rest[1:5]))
-		if n > maxRecordLen || int64(len(rest)) < 5+n+8 {
-			return c // corrupt length or torn tail
-		}
-		payload := rest[5 : 5+n]
-		h := crc64.New(crcTable)
-		_, _ = h.Write([]byte{kind})
-		_, _ = h.Write(payload)
-		if binary.LittleEndian.Uint64(rest[5+n:5+n+8]) != h.Sum64() {
-			return c // flipped bits
+	for len(rest) > 0 {
+		kind, payload, next, err := frame.Next(rest, maxRecordLen)
+		if err != nil {
+			return c // torn tail, corrupt length, or flipped bits
 		}
 		switch {
 		case kind == recSpec && !c.specOK && len(c.points) == 0:
@@ -270,9 +238,10 @@ func parseJournal(b []byte) journalContent {
 		default:
 			return c // spec repeated, record after terminal, unknown kind...
 		}
-		off += 5 + n + 8
-		c.valid = off
+		rest = next
+		c.valid = int64(len(b) - len(rest))
 	}
+	return c
 }
 
 // RecoveredJob is one unfinished job reconstructed from its journal: spec,

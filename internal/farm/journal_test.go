@@ -1,6 +1,7 @@
 package farm
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -170,6 +171,44 @@ func TestScanBitFlips(t *testing.T) {
 		if len(recs) > 1 {
 			t.Fatalf("pos %d: %d jobs", pos, len(recs))
 		}
+	}
+}
+
+// TestJournalV1Fixture pins the on-disk format: testdata/v1.jrnl is an
+// unfinished job (3 points, 2 completions, no terminal record) written by
+// the first JournalVersion 1 writer. Today's writer must produce the same
+// bytes, and Scan must recover the fixture whole, since a journal left by
+// an older build is a promise to finish that job.
+func TestJournalV1Fixture(t *testing.T) {
+	fixture, err := os.ReadFile(filepath.Join("testdata", "v1.jrnl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jn := journal(t)
+	writeJournal(t, jn, "j1", JobSpec{Points: testPoints("a", 3)},
+		[]PointResult{okPoint(0), okPoint(1)}, "")
+	written, err := os.ReadFile(jn.path("j1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(written, fixture) {
+		t.Fatal("journal bytes differ from the v1 fixture")
+	}
+
+	jn = journal(t)
+	if err := os.WriteFile(jn.path("j1"), fixture, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := jn.Scan()
+	if len(recs) != 1 {
+		t.Fatalf("recovered %d jobs from the fixture, want 1", len(recs))
+	}
+	recs[0].Log.Close()
+	if len(recs[0].Spec.Points) != 3 || len(recs[0].Completions) != 2 {
+		t.Fatalf("recovered %d points, %d completions; want 3, 2", len(recs[0].Spec.Points), len(recs[0].Completions))
+	}
+	if fi, err := os.Stat(jn.path("j1")); err != nil || fi.Size() != int64(len(fixture)) {
+		t.Fatalf("fixture truncated on recovery: %v, %v", fi, err)
 	}
 }
 

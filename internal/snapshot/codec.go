@@ -14,25 +14,27 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc64"
 	"math"
 	"sort"
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
+	"idaflash/internal/frame"
 	"idaflash/internal/ftl"
-	"idaflash/internal/sim"
 )
 
-// CodecVersion is the on-disk format version. Bump it whenever the payload
-// layout or the meaning of any captured field changes; the Store treats a
-// version mismatch as a miss, and callers fold the version into their cache
-// keys so stale fixture directories invalidate themselves.
-const CodecVersion = 1
+// CodecVersion is the on-disk format version. Bump it whenever the framing,
+// the payload layout or the meaning of any captured field changes; the
+// Store treats a version mismatch as a miss, and callers fold the version
+// into their cache keys so stale fixture directories invalidate themselves.
+const CodecVersion = 2
 
 // magic brands snapshot files so arbitrary bytes are rejected before any
 // length field is trusted.
 var magic = [8]byte{'I', 'D', 'A', 'S', 'N', 'A', 'P', 0}
+
+// recState is the kind of a snapshot file's one frame record.
+const recState byte = 'S'
 
 // Typed decode failures. All of them mean "treat as a cache miss"; the
 // distinctions exist for logs and tests.
@@ -44,11 +46,10 @@ var (
 	// ErrChecksum means the payload failed its integrity checksum.
 	ErrChecksum = errors.New("snapshot: checksum mismatch")
 	// ErrCorrupt means the payload was structurally invalid (truncated,
-	// impossible lengths) despite passing or not reaching the checksum.
+	// impossible lengths, non-canonical fields) despite passing or not
+	// reaching the checksum.
 	ErrCorrupt = errors.New("snapshot: corrupt payload")
 )
-
-var crcTable = crc64.MakeTable(crc64.ECMA)
 
 // DeviceState is one device's aged pre-measurement state: the FTL state at
 // the snapshot boundary plus the fault injector's random-stream position
@@ -58,488 +59,344 @@ type DeviceState struct {
 	InjectorDraws uint64
 }
 
-// Encode serializes the state: magic, version, payload length, payload,
-// CRC64-ECMA of the payload. The encoding is deterministic (sparse maps are
-// written in sorted key order), so identical states produce identical bytes.
+// Encode serializes the state as an internal/frame file: a header and one
+// record whose payload is the field walk below. The encoding is
+// deterministic (sparse maps are written in sorted key order), so identical
+// states produce identical bytes. It fails on a nil state and on a payload
+// too large for one record.
 func Encode(st *DeviceState) ([]byte, error) {
 	if st == nil || st.FTL == nil {
 		return nil, fmt.Errorf("snapshot: encode of nil state")
 	}
-	var e encoder
-	e.ftlState(st.FTL)
-	e.u64(st.InjectorDraws)
-
-	out := make([]byte, 0, len(magic)+4+8+len(e.buf)+8)
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, CodecVersion)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(e.buf)))
-	out = append(out, e.buf...)
-	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(e.buf, crcTable))
+	var c codec
+	c.deviceState(st)
+	out := frame.AppendHeader(make([]byte, 0, frame.HeaderLen+5+len(c.b)+8), magic, CodecVersion)
+	out, err := frame.AppendRecord(out, recState, c.b)
+	if err != nil {
+		return nil, fmt.Errorf("snapshot: %w", err)
+	}
 	return out, nil
 }
 
 // Decode parses bytes produced by Encode. It never panics on arbitrary
-// input: every length is validated against the remaining payload before any
-// allocation, and the checksum is verified before the payload is parsed.
+// input: the checksum is verified before the payload is parsed, and every
+// length is validated against the remaining payload before any allocation.
+// It accepts only canonical input, which Encode reproduces byte for byte.
 func Decode(b []byte) (*DeviceState, error) {
-	if len(b) < len(magic)+4+8+8 {
-		if len(b) < len(magic) || string(b[:len(magic)]) != string(magic[:]) {
-			return nil, ErrNotSnapshot
-		}
-		return nil, fmt.Errorf("%w: short header", ErrCorrupt)
+	rest, err := frame.Header(b, magic, CodecVersion)
+	var kind byte
+	var payload []byte
+	if err == nil {
+		kind, payload, rest, err = frame.Next(rest, math.MaxInt)
 	}
-	if string(b[:len(magic)]) != string(magic[:]) {
+	switch {
+	case errors.Is(err, frame.ErrMagic):
 		return nil, ErrNotSnapshot
-	}
-	off := len(magic)
-	version := binary.LittleEndian.Uint32(b[off:])
-	off += 4
-	if version != CodecVersion {
-		return nil, fmt.Errorf("%w: file has v%d, codec is v%d", ErrVersion, version, CodecVersion)
-	}
-	plen := binary.LittleEndian.Uint64(b[off:])
-	off += 8
-	if plen != uint64(len(b)-off-8) {
-		return nil, fmt.Errorf("%w: payload length %d does not match file size", ErrCorrupt, plen)
-	}
-	payload := b[off : off+int(plen)]
-	sum := binary.LittleEndian.Uint64(b[off+int(plen):])
-	if crc64.Checksum(payload, crcTable) != sum {
+	case errors.Is(err, frame.ErrVersion):
+		return nil, fmt.Errorf("%w: %v", ErrVersion, err)
+	case errors.Is(err, frame.ErrChecksum):
 		return nil, ErrChecksum
+	case err != nil:
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	case kind != recState || len(rest) != 0:
+		return nil, fmt.Errorf("%w: record kind %q with %d trailing bytes", ErrCorrupt, kind, len(rest))
 	}
-	d := decoder{b: payload}
-	st := &DeviceState{FTL: d.ftlState()}
-	st.InjectorDraws = d.u64()
-	if d.err != nil {
-		return nil, d.err
+	c := codec{dec: true, b: payload}
+	st := &DeviceState{FTL: &ftl.State{}}
+	c.deviceState(st)
+	if c.err == nil && c.off != len(c.b) {
+		c.fail("%d trailing payload bytes", len(c.b)-c.off)
 	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing payload bytes", ErrCorrupt, len(d.b)-d.off)
+	if c.err != nil {
+		return nil, c.err
 	}
 	return st, nil
 }
 
-// encoder appends fixed-width little-endian fields to a growing buffer.
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *encoder) boolean(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-func (e *encoder) geometry(g flash.Geometry) {
-	e.i64(int64(g.Channels))
-	e.i64(int64(g.ChipsPerChannel))
-	e.i64(int64(g.DiesPerChip))
-	e.i64(int64(g.PlanesPerDie))
-	e.i64(int64(g.BlocksPerPlane))
-	e.i64(int64(g.WordlinesPerBlock))
-	e.i64(int64(g.PageSizeBytes))
-	e.i64(int64(g.BitsPerCell))
-}
-
-func (e *encoder) pageAddr(a flash.PageAddr) {
-	e.i64(int64(a.Plane))
-	e.i64(int64(a.Block))
-	e.i64(int64(a.Page))
-}
-
-func (e *encoder) stats(s ftl.Stats) {
-	e.u64(s.HostReads)
-	e.u64(s.HostWrites)
-	e.u64(s.Invalidations)
-	e.u64(s.Erases)
-	e.u64(uint64(len(s.ReadsByClass)))
-	for _, v := range s.ReadsByClass {
-		e.u64(v)
-	}
-	e.u64(uint64(len(s.ReadsBySenses)))
-	for _, v := range s.ReadsBySenses {
-		e.u64(v)
-	}
-	e.u64(s.ReadsFromIDA)
-	e.u64(s.GCJobs)
-	e.u64(s.GCMoves)
-	e.u64(s.GCIDAVictims)
-	e.u64(s.Refreshes)
-	e.u64(s.RefreshValidPages)
-	e.u64(s.RefreshMoves)
-	e.u64(s.IDARefreshes)
-	e.u64(s.IDAAdjustedWLs)
-	e.u64(s.IDAVerifyReads)
-	e.u64(s.IDACorruptedWrites)
-	e.u64(s.IDAKeptPages)
-	e.f64(s.ProgramPower)
-	e.f64(s.ProgrammedCells)
-	e.u64(s.ProgramFailures)
-	e.u64(s.EraseFailures)
-	e.u64(s.RetiredBlocks)
-}
-
-func (e *encoder) ftlState(st *ftl.State) {
-	e.geometry(st.Geometry)
-
-	e.boolean(st.DenseL2P != nil)
-	if st.DenseL2P != nil {
-		e.u64(uint64(len(st.DenseL2P)))
-		for _, v := range st.DenseL2P {
-			e.u64(v)
-		}
-	}
-	keys := make([]int64, 0, len(st.SparseL2P))
-	for k := range st.SparseL2P {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	e.u64(uint64(len(keys)))
-	for _, k := range keys {
-		e.i64(k)
-		e.u64(st.SparseL2P[k])
-	}
-	e.i64(int64(st.L2PCount))
-	e.i64(int64(st.AllocCursor))
-
-	e.u64(uint64(len(st.Planes)))
-	for _, ps := range st.Planes {
-		e.i64(int64(ps.Active))
-		e.u64(uint64(len(ps.Free)))
-		for _, idx := range ps.Free {
-			e.i64(int64(idx))
-		}
-		e.u64(uint64(len(ps.Blocks)))
-		for _, bs := range ps.Blocks {
-			e.boolean(bs.Present)
-			if !bs.Present {
-				continue
-			}
-			e.i64(int64(bs.EraseCount))
-			e.i64(int64(bs.OpenedAt))
-			e.i64(int64(bs.ProgrammedAt))
-			e.i64(int64(bs.NextStep))
-			e.i64(int64(bs.ValidCount))
-			var flags uint8
-			if bs.IDA {
-				flags |= 1
-			}
-			if bs.Refreshed {
-				flags |= 2
-			}
-			if bs.Bad {
-				flags |= 4
-			}
-			if bs.Retired {
-				flags |= 8
-			}
-			e.u8(flags)
-			e.u64(uint64(len(bs.Valid)))
-			e.bitset(bs.Valid)
-			e.u64(uint64(len(bs.RMap)))
-			for _, lpn := range bs.RMap {
-				e.i64(int64(lpn))
-			}
-			e.u64(uint64(len(bs.WLKeep)))
-			for _, m := range bs.WLKeep {
-				e.u32(uint32(m))
-			}
-		}
-	}
-
-	e.u64(uint64(len(st.PendingGC)))
-	for _, job := range st.PendingGC {
-		e.i64(int64(job.Victim.Plane))
-		e.i64(int64(job.Victim.Block))
-		e.boolean(job.VictimWasIDA)
-		e.u64(uint64(len(job.Moves)))
-		for _, m := range job.Moves {
-			e.pageAddr(m.From)
-			e.i64(int64(m.FromSenses))
-			e.pageAddr(m.To)
-			e.i64(int64(m.LPN))
-			e.i64(int64(m.FailedPrograms))
-		}
-	}
-
-	e.boolean(st.RefreshingActive)
-	e.i64(int64(st.Refreshing.Plane))
-	e.i64(int64(st.Refreshing.Block))
-	e.stats(st.Stats)
-	e.u64(st.RNGDraws)
-}
-
-// bitset packs a []bool eight entries per byte.
-func (e *encoder) bitset(bits []bool) {
-	var cur uint8
-	for i, b := range bits {
-		if b {
-			cur |= 1 << (i % 8)
-		}
-		if i%8 == 7 {
-			e.u8(cur)
-			cur = 0
-		}
-	}
-	if len(bits)%8 != 0 {
-		e.u8(cur)
-	}
-}
-
-// decoder reads the encoder's fields back, tracking the first error and
-// refusing any length that cannot fit in the remaining payload. After an
-// error every read returns a zero value, so call sites need no per-field
-// checks; Decode inspects d.err once at the end.
-type decoder struct {
+// codec is the payload's one field walk, run in either direction: encoding
+// appends every field it visits to b, decoding fills the field from b at
+// off. The encode side only reads through the pointers it is handed (a
+// cached state seeds concurrent restores, so even a same-value store would
+// race). Decoding latches the first error, after which every field reads as
+// zero and every loop stops, so the walk needs no per-field checks.
+type codec struct {
+	dec bool
 	b   []byte
 	off int
 	err error
 }
 
-func (d *decoder) fail(format string, args ...any) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+func (c *codec) fail(format string, args ...any) {
+	if c.err == nil {
+		c.err = fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
 	}
 }
 
-// need reserves n bytes, failing the decode if they are not there.
-func (d *decoder) need(n int) bool {
-	if d.err != nil {
+// need reserves n payload bytes for decoding, failing if they are not there.
+func (c *codec) need(n int) bool {
+	if c.err != nil {
 		return false
 	}
-	if n < 0 || len(d.b)-d.off < n {
-		d.fail("truncated at offset %d (need %d bytes)", d.off, n)
+	if n < 0 || len(c.b)-c.off < n {
+		c.fail("truncated at offset %d (need %d bytes)", c.off, n)
 		return false
 	}
 	return true
 }
 
-func (d *decoder) u8() uint8 {
-	if !d.need(1) {
-		return 0
-	}
-	v := d.b[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if !d.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.b[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if !d.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.b[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) i64() int64    { return int64(d.u64()) }
-func (d *decoder) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *decoder) boolean() bool { return d.u8() != 0 }
-func (d *decoder) intField() int { return int(d.i64()) }
-
-// count reads a length prefix for elements of at least elemSize bytes and
-// validates it against the remaining payload, so a corrupt length cannot
-// trigger a giant allocation.
-func (d *decoder) count(elemSize int) int {
-	n := d.u64()
-	if d.err != nil {
-		return 0
-	}
-	if n > uint64(len(d.b)-d.off)/uint64(elemSize) {
-		d.fail("length %d exceeds remaining payload", n)
-		return 0
-	}
-	return int(n)
-}
-
-func (d *decoder) geometry() flash.Geometry {
-	return flash.Geometry{
-		Channels:          d.intField(),
-		ChipsPerChannel:   d.intField(),
-		DiesPerChip:       d.intField(),
-		PlanesPerDie:      d.intField(),
-		BlocksPerPlane:    d.intField(),
-		WordlinesPerBlock: d.intField(),
-		PageSizeBytes:     d.intField(),
-		BitsPerCell:       d.intField(),
+func (c *codec) u64(p *uint64) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint64(c.b, *p)
+	} else if c.need(8) {
+		*p = binary.LittleEndian.Uint64(c.b[c.off:])
+		c.off += 8
 	}
 }
 
-func (d *decoder) pageAddr() flash.PageAddr {
-	var a flash.PageAddr
-	a.Plane = flash.PlaneID(d.i64())
-	a.Block = d.intField()
-	a.Page = d.intField()
-	return a
+func u32[T ~uint32](c *codec, p *T) {
+	if !c.dec {
+		c.b = binary.LittleEndian.AppendUint32(c.b, uint32(*p))
+	} else if c.need(4) {
+		*p = T(binary.LittleEndian.Uint32(c.b[c.off:]))
+		c.off += 4
+	}
 }
 
-func (d *decoder) stats() ftl.Stats {
-	var s ftl.Stats
-	s.HostReads = d.u64()
-	s.HostWrites = d.u64()
-	s.Invalidations = d.u64()
-	s.Erases = d.u64()
-	if n := d.count(8); n != len(s.ReadsByClass) {
-		d.fail("ReadsByClass has %d buckets, want %d", n, len(s.ReadsByClass))
-	} else {
-		for i := range s.ReadsByClass {
-			s.ReadsByClass[i] = d.u64()
-		}
+// i64 moves a signed integer as its two's-complement u64.
+func i64[T ~int | ~int64](c *codec, p *T) {
+	v := uint64(*p)
+	c.u64(&v)
+	if c.dec {
+		*p = T(int64(v))
 	}
-	if n := d.count(8); n != len(s.ReadsBySenses) {
-		d.fail("ReadsBySenses has %d buckets, want %d", n, len(s.ReadsBySenses))
-	} else {
-		for i := range s.ReadsBySenses {
-			s.ReadsBySenses[i] = d.u64()
-		}
-	}
-	s.ReadsFromIDA = d.u64()
-	s.GCJobs = d.u64()
-	s.GCMoves = d.u64()
-	s.GCIDAVictims = d.u64()
-	s.Refreshes = d.u64()
-	s.RefreshValidPages = d.u64()
-	s.RefreshMoves = d.u64()
-	s.IDARefreshes = d.u64()
-	s.IDAAdjustedWLs = d.u64()
-	s.IDAVerifyReads = d.u64()
-	s.IDACorruptedWrites = d.u64()
-	s.IDAKeptPages = d.u64()
-	s.ProgramPower = d.f64()
-	s.ProgrammedCells = d.f64()
-	s.ProgramFailures = d.u64()
-	s.EraseFailures = d.u64()
-	s.RetiredBlocks = d.u64()
-	return s
 }
 
-func (d *decoder) ftlState() *ftl.State {
-	st := &ftl.State{}
-	st.Geometry = d.geometry()
-
-	if d.boolean() {
-		n := d.count(8)
-		st.DenseL2P = make([]uint64, n)
-		for i := range st.DenseL2P {
-			st.DenseL2P[i] = d.u64()
-		}
+func (c *codec) f64(p *float64) {
+	v := math.Float64bits(*p)
+	c.u64(&v)
+	if c.dec {
+		*p = math.Float64frombits(v)
 	}
-	if n := d.count(16); n > 0 {
-		st.SparseL2P = make(map[int64]uint64, n)
-		for i := 0; i < n; i++ {
-			k := d.i64()
-			st.SparseL2P[k] = d.u64()
-		}
-		if len(st.SparseL2P) != n {
-			d.fail("sparse L2P repeats keys")
-		}
-	}
-	st.L2PCount = d.intField()
-	st.AllocCursor = d.intField()
+}
 
-	planes := d.count(24) // active + free length + blocks length minimum
-	st.Planes = make([]ftl.PlaneState, 0, planes)
-	for pl := 0; pl < planes && d.err == nil; pl++ {
-		var ps ftl.PlaneState
-		ps.Active = d.intField()
-		// Zero-length slices decode as nil so a decoded state is
-		// byte-for-byte re-encodable and deep-equal to its source.
-		if nFree := d.count(8); nFree > 0 {
-			ps.Free = make([]int, nFree)
-			for i := range ps.Free {
-				ps.Free[i] = d.intField()
+// flags moves up to eight bools as one byte, vs[i] in bit i; a lone bool
+// is a one-flag byte. Decoding rejects bits no flag owns.
+func (c *codec) flags(vs ...*bool) {
+	var v uint8
+	if !c.dec {
+		for i, p := range vs {
+			if *p {
+				v |= 1 << i
 			}
 		}
-		nBlocks := d.count(1)
-		ps.Blocks = make([]ftl.BlockState, 0, nBlocks)
-		for blk := 0; blk < nBlocks && d.err == nil; blk++ {
-			var bs ftl.BlockState
-			bs.Present = d.boolean()
-			if bs.Present {
-				bs.EraseCount = d.intField()
-				bs.OpenedAt = sim.Time(d.i64())
-				bs.ProgrammedAt = sim.Time(d.i64())
-				bs.NextStep = d.intField()
-				bs.ValidCount = d.intField()
-				flags := d.u8()
-				bs.IDA = flags&1 != 0
-				bs.Refreshed = flags&2 != 0
-				bs.Bad = flags&4 != 0
-				bs.Retired = flags&8 != 0
-				nValid := d.count(1)
-				bs.Valid = d.bitset(nValid)
-				nRMap := d.count(8)
-				bs.RMap = make([]ftl.LPN, nRMap)
-				for i := range bs.RMap {
-					bs.RMap[i] = ftl.LPN(d.i64())
-				}
-				nKeep := d.count(4)
-				bs.WLKeep = make([]coding.ValidMask, nKeep)
-				for i := range bs.WLKeep {
-					bs.WLKeep[i] = coding.ValidMask(d.u32())
+		c.b = append(c.b, v)
+		return
+	}
+	if !c.need(1) {
+		return
+	}
+	v = c.b[c.off]
+	c.off++
+	if v>>len(vs) != 0 {
+		c.fail("flag byte %#x has unknown bits", v)
+		return
+	}
+	for i, p := range vs {
+		*p = v&(1<<i) != 0
+	}
+}
+
+// count moves a u64 length prefix: n when encoding; when decoding, the
+// stored length, refused unless that many elements of at least size bytes
+// fit in the remaining payload, so a corrupt length cannot force a giant
+// allocation.
+func (c *codec) count(n, size int) int {
+	v := uint64(n)
+	c.u64(&v)
+	if !c.dec {
+		return n
+	}
+	if c.err != nil {
+		return 0
+	}
+	if v > uint64(len(c.b)-c.off)/uint64(size) {
+		c.fail("length %d exceeds remaining payload", v)
+		return 0
+	}
+	return int(v)
+}
+
+// slice moves a length-prefixed slice whose elements take at least size
+// bytes each. An empty slice decodes as nil.
+func slice[T any](c *codec, s *[]T, size int, elem func(*codec, *T)) {
+	n := c.count(len(*s), size)
+	if c.dec && n > 0 {
+		*s = make([]T, n)
+	}
+	for i := 0; i < n && c.err == nil; i++ {
+		elem(c, &(*s)[i])
+	}
+}
+
+// fixed moves a fixed-size array behind a length prefix that must match.
+func (c *codec) fixed(name string, vs []uint64) {
+	if n := c.count(len(vs), 8); n != len(vs) {
+		c.fail("%s has %d buckets, want %d", name, n, len(vs))
+		return
+	}
+	for i := range vs {
+		c.u64(&vs[i])
+	}
+}
+
+// bits moves a length-prefixed []bool packed eight entries per byte, the
+// unused high bits of the last byte zero.
+func (c *codec) bits(p *[]bool) {
+	n := c.count(len(*p), 1)
+	nbytes := (n + 7) / 8
+	if !c.dec {
+		for i := 0; i < nbytes; i++ {
+			var v uint8
+			for j, b := range (*p)[i*8 : min(n, i*8+8)] {
+				if b {
+					v |= 1 << j
 				}
 			}
-			ps.Blocks = append(ps.Blocks, bs)
+			c.b = append(c.b, v)
 		}
-		st.Planes = append(st.Planes, ps)
+		return
 	}
-
-	nJobs := d.count(25)
-	if nJobs > 0 {
-		st.PendingGC = make([]ftl.GCJob, 0, nJobs)
+	if n == 0 || !c.need(nbytes) {
+		return
 	}
-	for j := 0; j < nJobs && d.err == nil; j++ {
-		var job ftl.GCJob
-		job.Victim.Plane = flash.PlaneID(d.i64())
-		job.Victim.Block = d.intField()
-		job.VictimWasIDA = d.boolean()
-		if nMoves := d.count(72); nMoves > 0 {
-			job.Moves = make([]ftl.MoveOp, nMoves)
-			for i := range job.Moves {
-				job.Moves[i].From = d.pageAddr()
-				job.Moves[i].FromSenses = d.intField()
-				job.Moves[i].To = d.pageAddr()
-				job.Moves[i].LPN = ftl.LPN(d.i64())
-				job.Moves[i].FailedPrograms = d.intField()
-			}
-		}
-		st.PendingGC = append(st.PendingGC, job)
+	if r := n % 8; r != 0 && c.b[c.off+nbytes-1]>>r != 0 {
+		c.fail("bitset of %d entries has padding bits set", n)
+		return
 	}
-
-	st.RefreshingActive = d.boolean()
-	st.Refreshing.Plane = flash.PlaneID(d.i64())
-	st.Refreshing.Block = d.intField()
-	st.Stats = d.stats()
-	st.RNGDraws = d.u64()
-	return st
+	*p = make([]bool, n)
+	for i := range *p {
+		(*p)[i] = c.b[c.off+i/8]&(1<<(i%8)) != 0
+	}
+	c.off += nbytes
 }
 
-// bitset unpacks n bools written by encoder.bitset.
-func (d *decoder) bitset(n int) []bool {
-	bytes := (n + 7) / 8
-	if !d.need(bytes) {
-		return nil
+// sparse moves a map as (key, value) pairs in strictly increasing key
+// order; decoding rejects any other order, duplicates included. An empty
+// map decodes as nil.
+func (c *codec) sparse(m *map[int64]uint64) {
+	keys := make([]int64, 0, len(*m))
+	for k := range *m {
+		keys = append(keys, k)
 	}
-	out := make([]bool, n)
-	for i := range out {
-		out[i] = d.b[d.off+i/8]&(1<<(i%8)) != 0
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	n := c.count(len(keys), 16)
+	if c.dec && n > 0 {
+		*m = make(map[int64]uint64, n)
+		keys = make([]int64, n)
 	}
-	d.off += bytes
-	return out
+	for i := 0; i < n && c.err == nil; i++ {
+		v := (*m)[keys[i]]
+		i64(c, &keys[i])
+		c.u64(&v)
+		if c.dec {
+			if i > 0 && keys[i] <= keys[i-1] {
+				c.fail("sparse L2P keys out of order at entry %d", i)
+			}
+			(*m)[keys[i]] = v
+		}
+	}
+}
+
+func (c *codec) deviceState(st *DeviceState) {
+	f := st.FTL
+	g := &f.Geometry
+	for _, p := range []*int{&g.Channels, &g.ChipsPerChannel, &g.DiesPerChip, &g.PlanesPerDie,
+		&g.BlocksPerPlane, &g.WordlinesPerBlock, &g.PageSizeBytes, &g.BitsPerCell} {
+		i64(c, p)
+	}
+
+	// The presence flag tells an empty dense table from a device over the
+	// dense cap, which has none.
+	dense := f.DenseL2P != nil
+	c.flags(&dense)
+	if dense {
+		slice(c, &f.DenseL2P, 8, (*codec).u64)
+		if c.dec && f.DenseL2P == nil {
+			f.DenseL2P = []uint64{}
+		}
+	}
+	c.sparse(&f.SparseL2P)
+	i64(c, &f.L2PCount)
+	i64(c, &f.AllocCursor)
+	slice(c, &f.Planes, 24, (*codec).plane) // active + free length + blocks length minimum
+	slice(c, &f.PendingGC, 25, (*codec).gcJob)
+	c.flags(&f.RefreshingActive)
+	c.blockAddr(&f.Refreshing)
+	c.stats(&f.Stats)
+	c.u64(&f.RNGDraws)
+	c.u64(&st.InjectorDraws)
+}
+
+func (c *codec) plane(ps *ftl.PlaneState) {
+	i64(c, &ps.Active)
+	slice(c, &ps.Free, 8, i64[int])
+	slice(c, &ps.Blocks, 1, (*codec).block)
+}
+
+func (c *codec) block(bs *ftl.BlockState) {
+	c.flags(&bs.Present)
+	if !bs.Present {
+		return
+	}
+	i64(c, &bs.EraseCount)
+	i64(c, &bs.OpenedAt)
+	i64(c, &bs.ProgrammedAt)
+	i64(c, &bs.NextStep)
+	i64(c, &bs.ValidCount)
+	c.flags(&bs.IDA, &bs.Refreshed, &bs.Bad, &bs.Retired)
+	c.bits(&bs.Valid)
+	slice(c, &bs.RMap, 8, i64[ftl.LPN])
+	slice(c, &bs.WLKeep, 4, u32[coding.ValidMask])
+}
+
+func (c *codec) gcJob(job *ftl.GCJob) {
+	c.blockAddr(&job.Victim)
+	c.flags(&job.VictimWasIDA)
+	slice(c, &job.Moves, 72, (*codec).move)
+}
+
+func (c *codec) move(m *ftl.MoveOp) {
+	c.pageAddr(&m.From)
+	i64(c, &m.FromSenses)
+	c.pageAddr(&m.To)
+	i64(c, &m.LPN)
+	i64(c, &m.FailedPrograms)
+}
+
+func (c *codec) blockAddr(a *flash.BlockAddr) {
+	i64(c, &a.Plane)
+	i64(c, &a.Block)
+}
+
+func (c *codec) pageAddr(a *flash.PageAddr) {
+	c.blockAddr(&a.BlockAddr)
+	i64(c, &a.Page)
+}
+
+func (c *codec) stats(s *ftl.Stats) {
+	for _, p := range []*uint64{&s.HostReads, &s.HostWrites, &s.Invalidations, &s.Erases} {
+		c.u64(p)
+	}
+	c.fixed("ReadsByClass", s.ReadsByClass[:])
+	c.fixed("ReadsBySenses", s.ReadsBySenses[:])
+	for _, p := range []*uint64{&s.ReadsFromIDA, &s.GCJobs, &s.GCMoves, &s.GCIDAVictims,
+		&s.Refreshes, &s.RefreshValidPages, &s.RefreshMoves, &s.IDARefreshes, &s.IDAAdjustedWLs,
+		&s.IDAVerifyReads, &s.IDACorruptedWrites, &s.IDAKeptPages} {
+		c.u64(p)
+	}
+	c.f64(&s.ProgramPower)
+	c.f64(&s.ProgrammedCells)
+	for _, p := range []*uint64{&s.ProgramFailures, &s.EraseFailures, &s.RetiredBlocks} {
+		c.u64(p)
+	}
 }

@@ -2,13 +2,17 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
 	"idaflash/internal/coding"
 	"idaflash/internal/flash"
+	"idaflash/internal/frame"
 	"idaflash/internal/ftl"
 	"idaflash/internal/sim"
 )
@@ -213,6 +217,112 @@ func TestDecodeErrorKinds(t *testing.T) {
 	truncated := full[:len(full)-3]
 	if _, err := Decode(truncated); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("truncation: got %v, want ErrCorrupt", err)
+	}
+}
+
+// payloadOf returns the field-walk payload of an encoded state.
+func payloadOf(t *testing.T, st *DeviceState) []byte {
+	t.Helper()
+	b, err := Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rest, err := frame.Header(b, magic, CodecVersion)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, payload, _, err := frame.Next(rest, len(rest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
+// reframe wraps a payload as a current-version snapshot file.
+func reframe(t *testing.T, payload []byte) []byte {
+	t.Helper()
+	b, err := frame.AppendRecord(frame.AppendHeader(nil, magic, CodecVersion), recState, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// TestCodecV1Fixture pins the payload layout: testdata/v1-seed3.snap is
+// randState(seed 3) written by codec v1 (magic, version u32, length u64,
+// payload, CRC64), whose payload v2 carries unchanged inside one frame
+// record. The v1 file itself is a version miss.
+func TestCodecV1Fixture(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "v1-seed3.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := randState(rand.New(rand.NewSource(3)))
+	if !bytes.Equal(payloadOf(t, st), v1[20:len(v1)-8]) {
+		t.Fatal("v2 payload differs from the v1 fixture's")
+	}
+	if _, err := Decode(v1); !errors.Is(err, ErrVersion) {
+		t.Fatalf("v1 file: got %v, want ErrVersion", err)
+	}
+}
+
+// TestDecodeRejectsNonCanonical checks that Decode refuses checksummed
+// payloads that Encode would never write, so that whatever it accepts
+// re-encodes to the same bytes: a bool byte other than 0 or 1, a flag bit
+// no field owns, set padding bits in a bitset, and unsorted sparse keys.
+func TestDecodeRejectsNonCanonical(t *testing.T) {
+	build := func(edit func(*ftl.State)) []byte {
+		st := &DeviceState{FTL: &ftl.State{
+			SparseL2P: map[int64]uint64{1: 10, 2: 20},
+			Planes:    []ftl.PlaneState{{Blocks: []ftl.BlockState{{Present: true, Valid: []bool{true, false, true}}}}},
+		}}
+		edit(st.FTL)
+		return payloadOf(t, st)
+	}
+	base := build(func(*ftl.State) {})
+	if _, err := Decode(reframe(t, base)); err != nil {
+		t.Fatalf("base payload: %v", err)
+	}
+	// at locates a field as the first byte an edit of it changes.
+	at := func(edit func(*ftl.State)) int {
+		changed := build(edit)
+		for i := range base {
+			if base[i] != changed[i] {
+				return i
+			}
+		}
+		t.Fatal("edit changed no byte")
+		return 0
+	}
+	swapped := append([]byte(nil), base...)
+	pair := func(k, v uint64) []byte {
+		return binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, k), v)
+	}
+	i := bytes.Index(base, append(pair(1, 10), pair(2, 20)...))
+	if i < 0 {
+		t.Fatal("sparse entries not found")
+	}
+	copy(swapped[i:], append(pair(2, 20), pair(1, 10)...))
+
+	cases := []struct {
+		name string
+		pos  int
+		val  byte
+	}{
+		{"bool byte 2", at(func(f *ftl.State) { f.RefreshingActive = true }), 2},
+		{"unknown flag bit", at(func(f *ftl.State) { f.Planes[0].Blocks[0].IDA = true }), 0x10},
+		{"bitset padding", at(func(f *ftl.State) { f.Planes[0].Blocks[0].Valid[0] = false }), 0x85},
+		{"unsorted sparse keys", -1, 0},
+	}
+	for _, tc := range cases {
+		mut := swapped
+		if tc.pos >= 0 {
+			mut = append([]byte(nil), base...)
+			mut[tc.pos] = tc.val
+		}
+		if _, err := Decode(reframe(t, mut)); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: got %v, want ErrCorrupt", tc.name, err)
+		}
 	}
 }
 

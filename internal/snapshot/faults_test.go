@@ -12,8 +12,8 @@ import (
 )
 
 // faultBlobs builds a snapshot blob tier over an errfs-wrapped results.Disk,
-// the exact production wiring (idaflash.SetStoreDir) with a lying disk
-// underneath.
+// the exact production wiring of idasim's and idaserver's -store-dir with a
+// lying disk underneath.
 func faultBlobs(t *testing.T, fs *errfs.FS) Blobs {
 	t.Helper()
 	d, err := results.OpenDiskOptions(t.TempDir(), results.DiskOptions{

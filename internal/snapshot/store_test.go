@@ -73,7 +73,7 @@ func TestStoreFIFOEviction(t *testing.T) {
 }
 
 // diskBlobs opens the production blob tier — a results.Disk root's ".snap"
-// view, as idaflash.SetStoreDir wires it — over dir.
+// view, as idasim and idaserver wire it for -store-dir — over dir.
 func diskBlobs(t *testing.T, dir string) Blobs {
 	t.Helper()
 	d, err := results.OpenDisk(dir, 0)

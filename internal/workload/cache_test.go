@@ -80,7 +80,7 @@ func TestTraceCacheDistinguishesProfiles(t *testing.T) {
 	}
 }
 
-// TestTraceCacheEvicts checks the FIFO bound: the cache never holds more
+// TestTraceCacheEvicts checks the LRU bound: the cache never holds more
 // than its limit, and evicted profiles regenerate (to a fresh pointer) on
 // the next request.
 func TestTraceCacheEvicts(t *testing.T) {
